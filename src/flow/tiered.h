@@ -1054,6 +1054,10 @@ class TieredFlowInspector {
                      DropSink&& dsink) {
     auto& cur = batch_cur_;
     auto& deferred = batch_deferred_;
+    // Jobs left by a batch that an exception cut short (a worker crash
+    // mid-burst) name slots that crash recovery may since have reset, and
+    // payloads that were counted shed: never flush them with this batch.
+    batch_jobs_.clear();
     cur.clear();
     for (std::size_t i = 0; i < count; ++i) cur.push_back(static_cast<std::uint32_t>(i));
 

@@ -186,22 +186,31 @@ PatternSet make_b217p() {
                 std::move(sources));
 }
 
+namespace {
+
+/// The seven sets in the paper's Table V order, by name, so a lookup builds
+/// only the set it returns.
+struct NamedSet {
+  const char* name;
+  PatternSet (*make)();
+};
+constexpr NamedSet kBuiltinSets[] = {
+    {"B217p", make_b217p}, {"C7p", make_c7p}, {"C8", make_c8},
+    {"C10", make_c10},     {"S24", make_s24}, {"S31p", make_s31p},
+    {"S34", make_s34},
+};
+
+}  // namespace
+
 std::vector<PatternSet> builtin_sets() {
   std::vector<PatternSet> sets;
-  sets.push_back(make_b217p());
-  sets.push_back(make_c7p());
-  sets.push_back(make_c8());
-  sets.push_back(make_c10());
-  sets.push_back(make_s24());
-  sets.push_back(make_s31p());
-  sets.push_back(make_s34());
+  for (const NamedSet& s : kBuiltinSets) sets.push_back(s.make());
   return sets;
 }
 
 PatternSet set_by_name(const std::string& name) {
-  for (auto& set : builtin_sets()) {
-    if (set.name == name) return set;
-  }
+  for (const NamedSet& s : kBuiltinSets)
+    if (name == s.name) return s.make();
   std::fprintf(stderr, "unknown builtin pattern set: %s\n", name.c_str());
   std::abort();
 }

@@ -5,14 +5,15 @@
 // per-flow Contexts, the paper's (q, m) pairs — and a bounded SPSC packet
 // queue. The dispatcher hashes each packet's FlowKey to a shard, so every
 // flow is pinned to exactly one worker: flow tables need no locks, and the
-// only cross-thread traffic is the queues themselves. The hot path is
-// batched end to end (DESIGN.md Sec. 7): submit() buffers per shard and
-// flushes bursts with one queue release-store, workers pop bursts and run
-// them through FlowInspector::packet_batch, which interleaves distinct
-// flows through the engine's K-way feed_many kernel. Matches and stats
-// accumulate shard-locally and are merged after finish(); attaching an
-// obs::MetricsRegistry (Options::metrics) additionally mirrors every
-// counter into lock-free telemetry readable mid-run via snapshot().
+// only cross-thread traffic is the queues themselves. submit() publishes
+// each packet to its shard's ring at once, so an idle worker scans it
+// without waiting for company; under load the ring backs up and workers
+// pop bursts (DESIGN.md Sec. 7) through FlowInspector::packet_batch, which
+// interleaves distinct flows through the engine's K-way feed_many kernel.
+// Matches and stats accumulate shard-locally and are merged after
+// finish(); attaching an obs::MetricsRegistry (Options::metrics)
+// additionally mirrors every counter into lock-free telemetry readable
+// mid-run via snapshot().
 //
 // Robustness layer (DESIGN.md Sec. 9): the pipeline is built to survive
 // hostile traffic and its own workers failing.
@@ -202,10 +203,10 @@ struct Options {
   std::size_t queue_capacity = 4096;  ///< per-shard SPSC ring slots
   std::size_t max_flows_per_shard = 0;  ///< 0 = unbounded flow tables
   std::size_t max_pending_per_flow = flow::kDefaultMaxPendingBytes;
-  /// Packet batching (DESIGN.md Sec. 7): submit() buffers up to this many
-  /// packets per shard before flushing them into the SPSC queue in one
-  /// burst, and each worker pops/processes bursts of the same size through
-  /// FlowInspector::packet_batch. 1 disables batching (per-packet push/pop).
+  /// Largest burst a worker pops from its ring and runs through
+  /// FlowInspector::packet_batch (DESIGN.md Sec. 7). submit() never holds
+  /// packets back: bursts form in the ring only when the worker falls
+  /// behind. 1 = per-packet pop.
   std::size_t batch_size = 32;
   /// Interleave width K for the workers' batched scans (engines with
   /// feed_many); see DESIGN.md Sec. 7 on K selection.
@@ -269,10 +270,10 @@ struct Options {
 
   // --- Overload & robustness (DESIGN.md Sec. 9) ---
   ShedPolicy shed_policy = ShedPolicy::kBackpressure;
-  /// Queue backlog (ring + producer buffer) at which shedding engages.
-  /// 0 = 3/4 of the (rounded) queue capacity.
+  /// Ring depth at which shedding engages. 0 = 3/4 of the (rounded) queue
+  /// capacity.
   std::size_t shed_high_water = 0;
-  /// Backlog at which shedding disengages (hysteresis). 0 = high/2.
+  /// Ring depth at which shedding disengages (hysteresis). 0 = high/2.
   std::size_t shed_low_water = 0;
   /// Buffered out-of-order reassembly bytes per shard past which the shard
   /// is treated as overloaded regardless of queue depth. 0 = disabled.
@@ -524,9 +525,9 @@ class ShardedInspector {
     return lowest;
   }
 
-  /// Enqueue one packet to its flow's shard (single producer thread).
-  /// Packets buffer per shard and flush into the SPSC queue in bursts of
-  /// Options::batch_size. Under ShedPolicy::kBackpressure a full queue
+  /// Publish one packet to its flow's shard ring (single producer thread).
+  /// Nothing is buffered on the producer side: an idle worker sees the
+  /// packet at once. Under ShedPolicy::kBackpressure a full queue
   /// spins (yielding) — backpressure instead of drops, so match results
   /// stay deterministic; full-spins are counted, and a sustained non-zero
   /// rate means the shard cannot keep up. Other policies shed at admission
@@ -552,13 +553,13 @@ class ShardedInspector {
     }
     if (options_.shed_policy != ShedPolicy::kBackpressure && try_shed(s, p))
       return;
-    s.pending.push_back(p);
     // Latency-span sampling (DESIGN.md Sec. 12): 1-in-2^trace_sample_shift
     // admitted packets get the submit stamp; the shard worker completes the
     // span at dequeue/scan time. Detached telemetry costs one branch.
+    flow::Packet q = p;
     if (s.metrics != nullptr && (++s.producer_span_tick & span_mask_) == 0)
-      s.pending.back().submit_tsc = util::rdtsc_now();
-    if (s.pending.size() >= options_.batch_size) flush_shard(s);
+      q.submit_tsc = util::rdtsc_now();
+    publish(s, q);
     const std::size_t depth = s.queue.depth();
     if (depth > s.producer_max_depth) s.producer_max_depth = depth;
     if (s.metrics != nullptr) {
@@ -622,20 +623,27 @@ class ShardedInspector {
     return flow_matches_;
   }
 
+  /// FlowKeyHash's low bits never see the ports (its multiply carries
+  /// only upward), so the hash gets a murmur3 fmix64 finalizer before the
+  /// modulo; otherwise every flow between one host pair lands on one shard.
+  /// The hash itself stays as is: the tiered table's buckets_of reads it.
   [[nodiscard]] std::size_t shard_of(const FlowKey& key) const {
-    return flow::FlowKeyHash{}(key) % options_.shards;
+    std::uint64_t h = flow::FlowKeyHash{}(key);
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdULL;
+    h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+    return static_cast<std::size_t>((h ^ (h >> 33)) % options_.shards);
   }
 
  private:
   struct Shard;
 
   /// Producer-side admission control. Returns true when `p` was shed.
-  /// Engages once the backlog (queue + producer buffer) crosses the high
-  /// watermark — or the shard's reassembly buffers are past their cap, or
-  /// the "pipeline.queue.full" fault fires — and disengages only once the
-  /// backlog falls to the low watermark (hysteresis, no flapping).
+  /// Engages once the ring depth crosses the high watermark — or the
+  /// shard's reassembly buffers are past their cap, or the
+  /// "pipeline.queue.full" fault fires — and disengages only once the depth
+  /// falls to the low watermark (hysteresis, no flapping).
   bool try_shed(Shard& s, const flow::Packet& p) {
-    const std::size_t depth = s.queue.depth() + s.pending.size();
+    const std::size_t depth = s.queue.depth();
     const bool over = depth >= shed_high_ ||
                       s.reassembly_overload.load(std::memory_order_relaxed) ||
                       util::fault_fire("pipeline.queue.full");
@@ -702,41 +710,32 @@ class ShardedInspector {
     }
   }
 
-  /// Push a shard's buffered packets into its queue, spinning under
-  /// backpressure. Every kLivenessCheckSpins spins the worker's liveness
-  /// flag is consulted: a dead worker can never drain the queue, so unless
-  /// a watchdog is about to restart it the producer sheds the remainder
-  /// (kFailover, exact accounting) and — outside finish(), without a
-  /// watchdog — throws, so the failure surfaces instead of deadlocking.
-  void flush_shard(Shard& s, bool from_finish = false) {
+  /// Push one packet into its shard's ring, spinning under backpressure.
+  /// Every kLivenessCheckSpins spins the worker's liveness flag is
+  /// consulted: a dead worker can never drain the ring, so unless a
+  /// watchdog is about to restart it the packet is shed (kFailover, exact
+  /// accounting) and — without a watchdog — submit() throws, so the failure
+  /// surfaces instead of deadlocking.
+  void publish(Shard& s, const flow::Packet& p) {
     static constexpr std::uint64_t kLivenessCheckSpins = 1024;
-    std::size_t done = 0;
     std::uint64_t spins = 0;
-    while (done < s.pending.size()) {
-      if (!util::fault_fire("pipeline.queue.full"))
-        done += s.queue.try_push_batch(s.pending.data() + done,
-                                       s.pending.size() - done);
-      if (done == s.pending.size()) break;
+    while (util::fault_fire("pipeline.queue.full") || !s.queue.try_push(p)) {
       ++spins;
       if (spins % kLivenessCheckSpins == 0 &&
           !s.alive.load(std::memory_order_acquire)) {
         const bool recovery_coming =
             options_.watchdog && !s.failed.load(std::memory_order_acquire);
         if (!recovery_coming) {
-          s.producer_pushed += done;
-          for (std::size_t i = done; i < s.pending.size(); ++i)
-            s.shed_one(s.pending[i], ShedReason::kFailover);
-          s.pending.clear();
+          s.shed_one(p, ShedReason::kFailover);
           s.record_spins(spins);
-          if (from_finish || options_.watchdog) return;
+          if (options_.watchdog) return;
           throw std::runtime_error(
               "ShardedInspector: shard worker died while its queue was full");
         }
       }
       std::this_thread::yield();
     }
-    s.producer_pushed += done;
-    s.pending.clear();
+    ++s.producer_pushed;
     s.record_spins(spins);
   }
 
@@ -746,7 +745,6 @@ class ShardedInspector {
     // shard vector is torn down.
     http_.stop();
     bool clean = true;
-    for (auto& shard : shards_) flush_shard(*shard, true);
     // Drain before stopping: while the watchdog is still running it can
     // restart a just-crashed worker, so a backlog behind a crash gets
     // scanned instead of being written off as failover sheds. Give up on a
@@ -957,7 +955,6 @@ class ShardedInspector {
       inspector.set_batch_lanes(o.scan_lanes);
       if (o.flow_cpu_budget_ns != 0)
         inspector.set_cpu_budget_ns(o.flow_cpu_budget_ns);
-      pending.reserve(batch_size);
       burst.resize(batch_size);
       journal_keys.reserve(batch_size);
       heartbeat_ns.store(steady_now_ns(), std::memory_order_relaxed);
@@ -1097,7 +1094,6 @@ class ShardedInspector {
     MatchVec matches;                      // worker-owned until join
     std::vector<FlowMatch> flow_matches;   // worker-owned until join
     std::map<std::uint64_t, std::uint64_t> gen_matches;  // worker-owned until join
-    std::vector<flow::Packet> pending;     // producer-owned submit buffer
     std::vector<flow::Packet> burst;       // worker-owned pop buffer
     std::size_t producer_max_depth = 0;    // producer-owned
     std::uint64_t producer_full_spins = 0;   // producer-owned

@@ -40,22 +40,6 @@ class SpscQueue {
     return true;
   }
 
-  /// Producer side only. Pushes up to `n` items from `items`, returning how
-  /// many fit (0 when full). One release store publishes the whole run, so
-  /// a burst costs the same shared-cache-line traffic as a single push.
-  std::size_t try_push_batch(const T* items, std::size_t n) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t free = mask_ + 1 - static_cast<std::size_t>(tail - head_cache_);
-    if (free < n) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free = mask_ + 1 - static_cast<std::size_t>(tail - head_cache_);
-    }
-    const std::size_t cnt = n < free ? n : free;
-    for (std::size_t i = 0; i < cnt; ++i) ring_[(tail + i) & mask_] = items[i];
-    if (cnt != 0) tail_.store(tail + cnt, std::memory_order_release);
-    return cnt;
-  }
-
   /// Consumer side only. Returns false when the ring is empty.
   bool try_pop(T& out) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);

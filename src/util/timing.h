@@ -15,8 +15,9 @@ namespace mfa::util {
 /// Read the CPU timestamp counter (or a monotonic-nanosecond fallback).
 std::uint64_t rdtsc_now();
 
-/// Estimated TSC ticks per second, sampled once per process (used to convert
-/// cycle counts to seconds where needed; cached after first call).
+/// Estimated TSC ticks per second, calibrated once per process over a ~2 ms
+/// busy spin against steady_clock (used to convert cycle counts to seconds
+/// where needed; cached after the first call).
 double tsc_ticks_per_second();
 
 /// Measures elapsed CPU cycles between construction/reset and elapsed().

@@ -2,7 +2,7 @@
 // byte-for-byte equivalent to sequential feed() for every table-driven
 // engine; FlowInspector::packet_batch must preserve exact per-flow
 // semantics versus the single-packet path under fragmentation, reorder and
-// retransmission; and the SPSC queue's batch push/pop must keep the FIFO
+// retransmission; and the SPSC queue's batch pop must keep the FIFO
 // contract of the scalar operations.
 #include <gtest/gtest.h>
 
@@ -281,36 +281,22 @@ TEST(FlowBatch, EvictionDuringBurstKeepsQueuedJobsValid) {
 }
 
 // ---------------------------------------------------------------------------
-// SpscQueue batch operations.
+// SpscQueue batch pops.
 
-TEST(SpscBatch, BatchPushPopKeepFifoOrder) {
+TEST(SpscBatch, BatchPopKeepsFifoOrder) {
   pipeline::SpscQueue<int> q(8);
-  int in[5] = {1, 2, 3, 4, 5};
-  EXPECT_EQ(q.try_push_batch(in, 5), 5u);
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE(q.try_push(i));
   int out[8] = {};
   EXPECT_EQ(q.try_pop_batch(out, 8), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], i + 1);
   EXPECT_EQ(q.try_pop_batch(out, 8), 0u);
 }
 
-TEST(SpscBatch, PartialPushWhenNearlyFull) {
-  pipeline::SpscQueue<int> q(4);  // capacity rounds to 4
-  int in[6] = {10, 11, 12, 13, 14, 15};
-  EXPECT_EQ(q.try_push_batch(in, 3), 3u);
-  EXPECT_EQ(q.try_push_batch(in + 3, 3), 1u);  // only one slot left
-  EXPECT_EQ(q.try_push_batch(in, 1), 0u);      // full
-  int out[4] = {};
-  ASSERT_EQ(q.try_pop_batch(out, 4), 4u);
-  EXPECT_EQ(out[0], 10);
-  EXPECT_EQ(out[3], 13);
-}
-
 TEST(SpscBatch, WrapAroundPreservesContents) {
   pipeline::SpscQueue<int> q(4);
   int scratch[4] = {};
   for (int round = 0; round < 10; ++round) {
-    int in[3] = {round * 3, round * 3 + 1, round * 3 + 2};
-    ASSERT_EQ(q.try_push_batch(in, 3), 3u);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(round * 3 + i));
     ASSERT_EQ(q.try_pop_batch(scratch, 4), 3u);
     for (int i = 0; i < 3; ++i) EXPECT_EQ(scratch[i], round * 3 + i);
   }
@@ -318,9 +304,7 @@ TEST(SpscBatch, WrapAroundPreservesContents) {
 
 TEST(SpscBatch, MixedScalarAndBatchInterleave) {
   pipeline::SpscQueue<int> q(8);
-  int in[2] = {1, 2};
-  ASSERT_TRUE(q.try_push(0));
-  ASSERT_EQ(q.try_push_batch(in, 2), 2u);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(i));
   int v = -1;
   ASSERT_TRUE(q.try_pop(v));
   EXPECT_EQ(v, 0);
@@ -342,15 +326,8 @@ TEST(SpscBatch, TwoThreadBatchHandoffDeliversEverythingInOrder) {
       for (std::size_t i = 0; i < n; ++i) received.push_back(buf[i]);
     }
   });
-  int next = 0;
-  while (next < kTotal) {
-    int buf[16];
-    int n = 0;
-    while (n < 16 && next < kTotal) buf[n++] = next++;
-    int pushed = 0;
-    while (pushed < n)
-      pushed += static_cast<int>(q.try_push_batch(buf + pushed, n - pushed));
-  }
+  for (int next = 0; next < kTotal; ++next)
+    while (!q.try_push(next)) std::this_thread::yield();
   consumer.join();
   ASSERT_EQ(received.size(), static_cast<std::size_t>(kTotal));
   for (int i = 0; i < kTotal; ++i) ASSERT_EQ(received[i], i);

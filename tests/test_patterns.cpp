@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "regex/ast.h"
 #include "split/splitter.h"
 
 namespace mfa::patterns {
@@ -61,6 +62,23 @@ TEST(Patterns, B217pIsMostlyStrings) {
   // Most patterns pass through whole; a minority decompose.
   EXPECT_LT(r.stats.patterns_decomposed, 40u);
   EXPECT_GT(r.stats.patterns_decomposed, 5u);
+}
+
+TEST(Patterns, SetByNameBuildsTheSameSetAsBuiltinSets) {
+  for (const PatternSet& want : builtin_sets()) {
+    const PatternSet got = set_by_name(want.name);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.description, want.description);
+    EXPECT_EQ(got.sources, want.sources) << want.name;
+    ASSERT_EQ(got.patterns.size(), want.patterns.size()) << want.name;
+    for (std::size_t i = 0; i < want.patterns.size(); ++i) {
+      EXPECT_EQ(got.patterns[i].id, want.patterns[i].id);
+      EXPECT_EQ(got.patterns[i].regex.anchored, want.patterns[i].regex.anchored);
+      EXPECT_EQ(regex::to_source(got.patterns[i].regex),
+                regex::to_source(want.patterns[i].regex))
+          << want.name << " pattern " << i;
+    }
+  }
 }
 
 TEST(Patterns, SetByNameAndCustom) {

@@ -5,13 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "engine_test_util.h"
 #include "mfa/mfa.h"
+#include "obs/metrics.h"
 #include "pipeline/spsc_queue.h"
 #include "trace/trace.h"
 #include "util/rng.h"
@@ -189,6 +196,28 @@ TEST(ShardedInspector, PacketsLandOnTheirHashedShard) {
   pipe.finish();
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_EQ(pipe.stats()[i].packets, expect[i]) << "shard " << i;
+}
+
+TEST(ShardedInspector, PortsAloneSpreadFlowsOverShards) {
+  // All flows between one host pair, differing only in their ports, must
+  // not pile onto one shard: none may get under half its fair share.
+  auto m = core::build_mfa(compile_patterns({".*needle"}));
+  ASSERT_TRUE(m.has_value());
+  constexpr std::size_t kFlows = 256;
+  for (const std::size_t shards : {2u, 4u}) {
+    Options opt;
+    opt.shards = shards;
+    ShardedInspector<core::Mfa> pipe(*m, opt);
+    std::vector<std::size_t> per_shard(shards, 0);
+    for (std::size_t i = 0; i < kFlows; ++i) {
+      const flow::FlowKey key{0x0a000001, 0x0a000002,
+                              static_cast<std::uint16_t>(40000 + i),
+                              static_cast<std::uint16_t>(80 + i % 4), 6};
+      ++per_shard[pipe.shard_of(key)];
+    }
+    for (std::size_t s = 0; s < shards; ++s)
+      EXPECT_GE(per_shard[s] * 2 * shards, kFlows) << shards << " shards, shard " << s;
+  }
 }
 
 TEST(ShardedInspector, FlowCapEvictsPerShard) {
@@ -385,6 +414,121 @@ TEST(ShardedInspector, LargeBatchAndLaneSweepMatchesSequential) {
     f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
     pipe.finish();
     EXPECT_EQ(pipe.merged_matches(), f.sequential) << "lanes " << lanes;
+  }
+}
+
+TEST(ShardedInspector, LonePacketScannedBeforeFinish) {
+  // submit() holds nothing back: with the default batch_size one packet on
+  // a quiet link is scanned, and its alert raised, without 31 more packets
+  // behind it and without finish().
+  auto m = core::build_mfa(compile_patterns({".*worm77"}));
+  ASSERT_TRUE(m.has_value());
+  obs::MetricsRegistry registry(2);
+  Options opt;
+  opt.shards = 2;
+  opt.metrics = &registry;
+  ASSERT_EQ(opt.batch_size, 32u);
+  ShardedInspector<core::Mfa> pipe(*m, opt);
+  pipe.start();
+  const std::string payload = "a worm77 here";
+  pipe.submit(flow::Packet{flow::FlowKey{1, 2, 3, 4, 6}, 0,
+                           reinterpret_cast<const std::uint8_t*>(payload.data()),
+                           static_cast<std::uint32_t>(payload.size())});
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  obs::ShardSnapshot live = pipe.snapshot().totals();
+  while (live.packets == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+    live = pipe.snapshot().totals();
+  }
+  EXPECT_EQ(live.packets, 1u);
+  EXPECT_EQ(live.matches, 1u);
+  pipe.finish();
+  EXPECT_EQ(pipe.totals().scanned, 1u);
+}
+
+TEST(ShardedInspector, BurstsStillFillUpBehindASlowWorker) {
+  // A 4 MiB packet keeps the lone worker scanning for milliseconds while
+  // the small packets behind it pile up in the ring; the worker then pops
+  // them in full bursts of batch_size, never larger. Every packet carries
+  // a span, and the packets of one burst share its dequeue stamp.
+  auto m = core::build_mfa(compile_patterns({".*worm77"}));
+  ASSERT_TRUE(m.has_value());
+  constexpr std::size_t kSmall = 256;
+  obs::MetricsRegistry registry({.shards = 1, .span_capacity = 1024});
+  Options opt;
+  opt.shards = 1;
+  opt.metrics = &registry;
+  opt.trace_sample_shift = 0;
+  ShardedInspector<core::Mfa> pipe(*m, opt);
+  pipe.start();
+  const std::string big(std::size_t{4} << 20, 'a');
+  const std::string small = "worm77";
+  pipe.submit(flow::Packet{flow::FlowKey{1, 2, 3, 4, 6}, 0,
+                           reinterpret_cast<const std::uint8_t*>(big.data()),
+                           static_cast<std::uint32_t>(big.size())});
+  for (std::uint32_t i = 0; i < kSmall; ++i)
+    pipe.submit(flow::Packet{flow::FlowKey{10 + i, 2, 3, 4, 6}, 0,
+                             reinterpret_cast<const std::uint8_t*>(small.data()),
+                             static_cast<std::uint32_t>(small.size())});
+  pipe.finish();
+  EXPECT_EQ(pipe.totals().matches, kSmall);
+  std::map<std::uint64_t, std::size_t> burst_sizes;
+  const auto spans = registry.spans().drain();
+  ASSERT_EQ(spans.size(), kSmall + 1);
+  for (const auto& e : spans) ++burst_sizes[e.dequeue_tsc];
+  std::size_t largest = 0;
+  for (const auto& [tsc, n] : burst_sizes) largest = std::max(largest, n);
+  EXPECT_EQ(largest, opt.batch_size);
+}
+
+TEST(ShardedInspector, ShedAccountingAndFlowParityAtEveryBatchSize) {
+  // Drop-newest over a small ring: whatever is shed, every submitted
+  // packet is scanned or shed, and every flow that lost no packet matches
+  // exactly as on a sequential FlowInspector.
+  const Fixture f = make_fixture();
+  std::unordered_map<flow::FlowKey, MatchVec, flow::FlowKeyHash> reference;
+  {
+    flow::FlowInspector<core::Mfa> insp{f.mfa};
+    f.trace.for_each_packet([&](const flow::Packet& p) {
+      insp.packet(p, [&](std::uint32_t id, std::uint64_t end) {
+        reference[p.key].push_back(Match{id, end});
+      });
+    });
+  }
+  for (const std::size_t batch : {1u, 32u, 128u}) {
+    std::mutex mu;
+    std::unordered_set<flow::FlowKey, flow::FlowKeyHash> shed_flows;
+    Options opt;
+    opt.shards = 2;
+    opt.queue_capacity = 64;
+    opt.batch_size = batch;
+    opt.collect_flow_matches = true;
+    opt.shed_policy = ShedPolicy::kDropNewest;
+    opt.shed_sink = [&](const flow::Packet& p, ShedReason) {
+      std::lock_guard<std::mutex> lock(mu);
+      shed_flows.insert(p.key);
+    };
+    ShardedInspector<core::Mfa> pipe(f.mfa, opt);
+    pipe.start();
+    f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
+    pipe.finish();
+    EXPECT_EQ(pipe.totals().submitted, f.packets) << "batch " << batch;
+    for (const ShardStats& st : pipe.stats())
+      EXPECT_EQ(st.submitted, st.scanned + st.shed_total()) << "batch " << batch;
+    std::unordered_map<flow::FlowKey, MatchVec, flow::FlowKeyHash> got;
+    for (const FlowMatch& fm : pipe.flow_matches()) got[fm.key].push_back(fm.match);
+    for (const auto& [key, want] : reference) {
+      if (shed_flows.count(key) != 0) continue;
+      const auto it = got.find(key);
+      MatchVec have = it == got.end() ? MatchVec{} : it->second;
+      std::sort(have.begin(), have.end());
+      MatchVec sorted_want = want;
+      std::sort(sorted_want.begin(), sorted_want.end());
+      EXPECT_EQ(have, sorted_want) << "batch " << batch;
+    }
+    for (const auto& [key, have] : got)
+      EXPECT_TRUE(reference.count(key) != 0 || shed_flows.count(key) != 0)
+          << "batch " << batch << ": matches on a flow with none";
   }
 }
 

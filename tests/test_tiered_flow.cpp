@@ -17,6 +17,7 @@
 #include "hfa/hfa.h"
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
+#include "util/faultpoint.h"
 #include "util/rng.h"
 
 namespace mfa::flow {
@@ -249,6 +250,30 @@ TEST(TieredFlow, ReorderingFlowBorrowsAndReturnsAColdRecord) {
   ASSERT_EQ(sink.matches.size(), 1u);
   EXPECT_EQ(insp.cold_record_count(), 0u);  // record returned to the slab
   EXPECT_EQ(insp.reassembly_pending_bytes(), 0u);
+}
+
+TEST(TieredFlow, BatchCutShortByAnExceptionLeavesNoJobBehind) {
+  // A new-flow allocation failure aborts a batch after flow A's job was
+  // queued; crash recovery then resets A. The next batch must not flush
+  // A's stale job (it names a freed slot and a payload counted shed).
+  if (!util::faultpoints_enabled()) GTEST_SKIP() << "fault points compiled out";
+  const core::Mfa m = build({".*needle"});
+  TieredFlowInspector<core::Mfa> insp{m};
+  const FlowKey a{1, 2, 3, 4, 6};
+  const FlowKey b{5, 6, 7, 8, 6};
+  const FlowKey c{9, 10, 11, 12, 6};
+  const std::string needle = "a needle";
+  const std::string hay = "only hay";
+  const Packet first[] = {make_packet(a, 0, needle), make_packet(b, 0, hay)};
+  auto& faults = util::FaultRegistry::instance();
+  faults.arm("flow.table.alloc", {1, 1000000, /*after=*/1, /*max_fires=*/1, 0});
+  CollectingSink sink;
+  EXPECT_THROW(insp.packet_batch(first, 2, sink), std::bad_alloc);
+  faults.disarm_all();
+  EXPECT_TRUE(insp.reset_flow(a));
+  const Packet second[] = {make_packet(c, 0, hay)};
+  insp.packet_batch(second, 1, sink);
+  EXPECT_TRUE(sink.matches.empty());
 }
 
 TEST(TieredFlow, BigStateEnginesFallBackToTheColdTier) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "util/dynamic_bitset.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -122,6 +125,21 @@ TEST(Timing, RdtscMonotonicish) {
   const auto b = rdtsc_now();
   EXPECT_GE(b, a);
   EXPECT_GT(tsc_ticks_per_second(), 1e6);
+}
+
+TEST(Timing, TscRateAgreesWithSlowReference) {
+  // The cached rate comes from a ~2 ms spin; a 50 ms window measured here
+  // must agree with it to within 0.5%.
+  const double cached = tsc_ticks_per_second();
+  const auto wall0 = std::chrono::steady_clock::now();
+  const std::uint64_t tsc0 = rdtsc_now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t tsc1 = rdtsc_now();
+  const auto wall1 = std::chrono::steady_clock::now();
+  const double reference = static_cast<double>(tsc1 - tsc0) /
+                           std::chrono::duration<double>(wall1 - wall0).count();
+  EXPECT_NEAR(cached / reference, 1.0, 0.005)
+      << "cached " << cached << " reference " << reference;
 }
 
 TEST(Timing, WallTimerAdvances) {
